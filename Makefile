@@ -1,10 +1,10 @@
 # Tier-1 gate and developer targets. `make check` is what CI (and the
 # next PR) should run: build + tests + vet + race on the concurrent
-# packages.
+# packages, plus vet + tests of the perfbench module.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-compare alloc-regression chaos check staticcheck
+.PHONY: all build test race vet perfbench-check bench bench-compare alloc-regression chaos check staticcheck
 
 all: check
 
@@ -35,11 +35,17 @@ staticcheck:
 vet:
 	$(GO) vet ./...
 
+# perfbench/ is its own Go module (it replaces headtalk with ../), so
+# the root `./...` never compiles it. Vet and test it here so a change
+# to an API the benchmark calls breaks `make check`, not the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Fault-injection chaos suite, run twice under the race detector:
 # exactly-once delivery and fail-closed decisions while the injector
-# corrupts frames, drops channels, stalls stages and induces panics —
-# on both the sequential worker and the batch collector (a mid-batch
-# panic fails the whole batch closed) — plus streaming-session
+# corrupts frames, drops channels, stalls stages and induces panics in
+# the per-request worker (a panic fails that one request closed and
+# the worker keeps serving) — plus streaming-session
 # isolation (a stalled session must not starve pushes or eviction for
 # other sessions), plus federation isolation (dead, black-hole and
 # slow-drip peers must fail fast with typed errors and leave
@@ -64,7 +70,9 @@ chaos:
 #   make bench BENCH_TAG=pr8
 # The EngineThroughput pattern also matches EngineThroughputTraced, so
 # every bench run records the traced-vs-untraced serving delta (the
-# tracing overhead budget is ≤5%). PipelineStages includes the
+# tracing overhead budget is ≤5%), and EngineThroughputFullPath, the
+# full-gate-pipeline number reported apart from the session-shortcut
+# headline. PipelineStages includes the
 # streaming-cascade per-chunk stages, StreamEndToEnd records the
 # streaming-vs-batch decision cost on identical audio, and
 # ForwardOverhead records the federation tax (local vs peer-forwarded
@@ -93,11 +101,11 @@ bench-compare:
 
 # Allocation-regression gate: the AllocsPerRun pins that hold the
 # steady-state serving path at zero allocations — the whole
-# ProcessWake (session shortcut, full orientation path, batched path)
-# plus the per-layer workspaces it is built from. -count=2 repeats
+# ProcessWake (session shortcut and full orientation path) plus the
+# per-layer workspaces it is built from. -count=2 repeats
 # each pin so a warm-up-dependent regression cannot hide behind test
 # caching.
 alloc-regression:
 	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/ml ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va
 
-check: build vet test race
+check: build vet test race perfbench-check

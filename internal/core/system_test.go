@@ -297,37 +297,76 @@ func TestConcurrentAccess(t *testing.T) {
 	<-done
 }
 
-// TestDeprecatedWakeWrappersDelegate pins the API consolidation: the
-// old ProcessWakeCtx / ProcessWakeWithCtx names remain as thin
-// wrappers over the context-first ProcessWake / ProcessWakeWith and
-// produce identical decisions.
-func TestDeprecatedWakeWrappersDelegate(t *testing.T) {
+// Steady-state ProcessWake — an open session, warm per-worker arena —
+// must not allocate at all. This is the pin the serving throughput
+// work rests on: the validate + health + session bookkeeping path runs
+// allocation-free end to end.
+func TestProcessWakeSessionSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; pin holds in normal builds")
+	}
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	sys := testSystem(t, clock)
 	sys.SetMode(ModeHeadTalk)
+	p := sys.NewPreprocessor()
 	ctx := context.Background()
 
-	want, err := sys.ProcessWake(ctx, markedRecording(true, 90))
+	// Open the session with a facing decision, then warm the arena.
+	rec := markedRecording(true, 41)
+	d, err := sys.ProcessWakeWith(ctx, p, rec)
+	if err != nil || !d.Accepted {
+		t.Fatalf("warm-up decision %+v, %v", d, err)
+	}
+	follow := markedRecording(false, 42)
+	if d, err = sys.ProcessWakeWith(ctx, p, follow); err != nil || d.Reason != ReasonSessionActive {
+		t.Fatalf("session follow-up %+v, %v", d, err)
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		d, err := sys.ProcessWakeWith(ctx, p, follow)
+		if err != nil || d.Reason != ReasonSessionActive {
+			t.Fatalf("steady-state decision %+v, %v", d, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ProcessWake allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// The full orientation path — band-pass, GCC/SRP features, SVM scoring
+// — must also be allocation-free once the arena is warm. Sessions are
+// disabled (negative timeout) so every decision runs the whole gate.
+func TestProcessWakeOrientationPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; pin holds in normal builds")
+	}
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	featCfg := features.DefaultConfig(13, 48000)
+	sys, err := NewSystem(Config{
+		SessionTimeout: -time.Second, // sessions expire instantly
+		Clock:          clock.Now,
+		Features:       featCfg,
+		Orientation:    trainedOrientation(t, featCfg),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EndSession() // the accept opened a session; reset between calls
-
-	got, err := sys.ProcessWakeCtx(ctx, markedRecording(true, 90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EndSession()
-	if got.Accepted != want.Accepted || got.Reason != want.Reason {
-		t.Fatalf("ProcessWakeCtx = %+v, ProcessWake = %+v", got, want)
-	}
-
+	sys.SetMode(ModeHeadTalk)
 	p := sys.NewPreprocessor()
-	got, err = sys.ProcessWakeWithCtx(ctx, p, markedRecording(true, 90))
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+
+	rec := markedRecording(true, 43)
+	d, perr := sys.ProcessWakeWith(ctx, p, rec) // warm-up
+	if perr != nil || !d.FacingRan {
+		t.Fatalf("warm-up decision %+v, %v", d, perr)
 	}
-	if got.Accepted != want.Accepted || got.Reason != want.Reason {
-		t.Fatalf("ProcessWakeWithCtx = %+v, ProcessWake = %+v", got, want)
+	allocs := testing.AllocsPerRun(10, func() {
+		d, err := sys.ProcessWakeWith(ctx, p, rec)
+		if err != nil || !d.FacingRan {
+			t.Fatalf("orientation decision %+v, %v", d, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("orientation-path ProcessWake allocated %.1f times per run, want 0", allocs)
 	}
 }

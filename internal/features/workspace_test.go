@@ -65,31 +65,32 @@ func TestWorkspaceExtractMatchesExtract(t *testing.T) {
 	}
 }
 
-// A batch must return, per capture, exactly the single-capture vector —
-// including when captures differ in channel count and FFT size.
-func TestWorkspaceExtractBatchMatchesSingles(t *testing.T) {
+// One workspace reused across captures whose channel counts and FFT
+// sizes grow and then shrink must still return, per capture, exactly
+// the allocating Extract vector: no scratch sized or filled by an
+// earlier capture may leak into a later one.
+func TestWorkspaceExtractReuseMatchesExtract(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 0))
 	recs := []*audio.Recording{
 		synthRecording(r, 4, 4000),
 		synthRecording(r, 3, 4000),
-		synthRecording(r, 2, 1500),
-		synthRecording(r, 4, 50000),
+		synthRecording(r, 4, 50000), // longest: focus window, largest FFT
+		synthRecording(r, 2, 1500),  // back down
+		synthRecording(r, 4, 700),   // smaller still
+		synthRecording(r, 3, 20000), // grows again over dirty scratch
 	}
 	cfg := DefaultConfig(21, 48000)
 	var ws Workspace
-	vecs, err := ws.ExtractBatch(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vecs) != len(recs) {
-		t.Fatalf("vector count: want %d, got %d", len(recs), len(vecs))
-	}
 	for k, rec := range recs {
 		want, err := Extract(rec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vectorsEqual(t, want, vecs[k])
+		got, err := ws.Extract(rec, cfg)
+		if err != nil {
+			t.Fatalf("capture %d: %v", k, err)
+		}
+		vectorsEqual(t, want, got)
 	}
 }
 
